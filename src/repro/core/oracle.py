@@ -25,20 +25,27 @@ from repro.core.base import (
     SelfInvalidationPolicy,
 )
 from repro.protocol.coherence import CoherenceEngine
-from repro.protocol.states import MissKind
+from repro.protocol.states import MissKind, ProtocolVariant
 from repro.trace.events import MemoryAccess
 
 
 def compute_last_touch_ordinals(
-    stream: Iterable, num_nodes: int, block_shift: int = 5
+    stream: Iterable,
+    num_nodes: int,
+    block_shift: int = 5,
+    variant: ProtocolVariant = ProtocolVariant.INVALIDATE,
 ) -> Dict[int, Set[int]]:
     """Profile ``stream`` and return node -> set of last-touch ordinals.
 
     An access's *ordinal* is its index in that node's own access stream
     (0-based). An access is a last touch when the node's copy of the
-    block is externally invalidated before the node touches it again.
+    block is externally invalidated before the node touches it again,
+    under the protocol ``variant`` the oracle will run against (a
+    downgraded writer keeps its copy, so its trace goes on).
     """
-    engine = CoherenceEngine(num_nodes, block_shift=block_shift)
+    engine = CoherenceEngine(
+        num_nodes, block_shift=block_shift, variant=variant
+    )
     ordinal = [0] * num_nodes
     last_access: Dict[int, Dict[int, int]] = {
         n: {} for n in range(num_nodes)

@@ -5,7 +5,8 @@ report — it is a module-level function so a ``multiprocessing`` pool
 (or a remote worker process) can ship specs by pickle. Each process
 memoises built ``ProgramSet``s per ``(workload, size, overrides)``, so
 a grid that sweeps policies over one workload builds the trace once
-per process.
+per process, and beside each one the compiled interleaving every
+census, oracle and accuracy spec of that workload replays.
 
 :class:`Runner` layers three result sources, in order:
 
@@ -45,12 +46,17 @@ from repro.runner.claims import DEFAULT_TTL
 from repro.runner.spec import NULL_POLICY, JobSpec
 from repro.sim import AccuracySimulator
 from repro.timing import make_engine, select_engine
+from repro.trace.compiled import CompiledStream, compile_stream
 from repro.trace.program import ProgramSet
 from repro.trace.scheduler import interleave
 from repro.workloads import TraceCache, cached_build, get_workload
 
 #: per-process ProgramSet memo: (workload, size, overrides) -> ProgramSet
 _PROGRAMS: Dict[Tuple, ProgramSet] = {}
+
+#: per-process compiled-stream memo: (_PROGRAMS key, quantum) ->
+#: (the ProgramSet and the interleave function it came from, the stream)
+_STREAMS: Dict[Tuple, Tuple[ProgramSet, Callable, CompiledStream]] = {}
 
 #: per-process persistent trace cache consulted by :func:`_programs_for`
 _TRACE_CACHE: Optional[TraceCache] = None
@@ -65,6 +71,7 @@ ProgressFn = Callable[[int, int, JobSpec, str], None]
 _M_EXECUTED = _tm.counter("repro_runner_specs_executed_total")
 _M_EXEC_SECONDS = _tm.histogram("repro_runner_execute_seconds")
 _M_TRACE_BUILDS = _tm.counter("repro_runner_trace_builds_total")
+_M_STREAM_COMPILES = _tm.counter("repro_runner_stream_compiles_total")
 _M_ENGINE_EVENTS = _tm.counter("repro_engine_events_total")
 _M_SOURCES = _tm.counter("repro_runner_results_total")
 
@@ -93,8 +100,12 @@ def _worker_init(
         select_engine(engine)
 
 
+def _programs_key(spec: JobSpec) -> Tuple:
+    return (spec.workload, spec.size, spec.overrides)
+
+
 def _programs_for(spec: JobSpec) -> ProgramSet:
-    key = (spec.workload, spec.size, spec.overrides)
+    key = _programs_key(spec)
     programs = _PROGRAMS.get(key)
     if programs is None:
         workload = get_workload(
@@ -107,6 +118,37 @@ def _programs_for(spec: JobSpec) -> ProgramSet:
         _M_TRACE_BUILDS.inc(workload=spec.workload)
         _PROGRAMS[key] = programs
     return programs
+
+
+def _stream_for(
+    spec: JobSpec, programs: ProgramSet, quantum: int = 1
+) -> CompiledStream:
+    """The compiled interleaving of ``programs`` (``spec``'s memoised
+    ProgramSet), built once per process.
+
+    The memo keys on everything the stream is a function of: it serves
+    a stream only while the ``_PROGRAMS`` entry is the very ProgramSet
+    it was interleaved from and the module's ``interleave`` is the
+    function that interleaved it (a tracer or a test may replace that
+    attribute). Streams whose entry was cleared or replaced (a remote
+    worker installs shipped traces there) are dropped here.
+    """
+    key = (_programs_key(spec), quantum)
+    memo = _STREAMS.get(key)
+    if memo is not None and memo[0] is programs and memo[1] is interleave:
+        return memo[2]
+    for stale in [
+        k for k, (owner, _, _) in _STREAMS.items()
+        if _PROGRAMS.get(k[0]) is not owner
+    ]:
+        del _STREAMS[stale]
+    with _tm.span(
+        "runner.compile_stream", workload=spec.workload, size=spec.size
+    ):
+        stream = compile_stream(interleave(programs, quantum=quantum))
+    _M_STREAM_COMPILES.inc(workload=spec.workload)
+    _STREAMS[key] = (programs, interleave, stream)
+    return stream
 
 
 def make_timing_engine(spec: JobSpec) -> Any:
@@ -151,13 +193,16 @@ def _execute_spec_inner(spec: JobSpec) -> Any:
     programs = _programs_for(spec)
     variant = ProtocolVariant[spec.variant.upper()]
     if spec.kind == "census":
-        return census(interleave(programs))
+        return census(_stream_for(spec, programs))
     if spec.kind == "oracle":
         sim = AccuracySimulator(NULL_POLICY.build, variant=variant)
-        return sim.run_oracle(programs)
+        return sim.run_oracle(programs, _stream_for(spec, programs))
     if spec.kind == "accuracy":
         sim = AccuracySimulator(spec.policy.build, variant=variant)
-        return sim.run(programs)
+        return sim.run_stream(
+            _stream_for(spec, programs), programs.num_nodes,
+            name=programs.name,
+        )
     if spec.kind == "timing":
         engine = make_timing_engine(spec)
         report = engine.run(programs)

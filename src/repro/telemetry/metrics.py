@@ -315,6 +315,19 @@ class MetricsRegistry:
 REGISTRY = MetricsRegistry()
 
 
+def _reinit_locks_in_child() -> None:
+    """Fresh locks for the registry and its instruments in a forked
+    child: a lock another parent thread held across the fork (a
+    heartbeat snapshot, a counter bump) would otherwise never be
+    released there."""
+    REGISTRY._lock = threading.Lock()
+    for inst in list(REGISTRY._instruments.values()):
+        inst._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reinit_locks_in_child)
+
+
 def registry() -> MetricsRegistry:
     return REGISTRY
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import weakref
 from pathlib import Path
 from typing import Any, Iterable, Iterator, List
 
@@ -26,6 +27,21 @@ DEFAULT_MAX_BYTES = 4 * 1024 * 1024
 
 #: rotated segments kept beside the live file
 DEFAULT_BACKUPS = 3
+
+#: every live writer, so a forked child can replace their locks
+_WRITERS: "weakref.WeakSet[RotatingJsonlWriter]" = weakref.WeakSet()
+
+
+def _reinit_locks_in_child() -> None:
+    """A forked child gets each lock in whatever state another parent
+    thread left it, and that thread does not exist in the child: a
+    lock held across the fork would block the child's first write
+    forever."""
+    for writer in list(_WRITERS):
+        writer._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reinit_locks_in_child)
 
 
 class RotatingJsonlWriter:
@@ -44,6 +60,7 @@ class RotatingJsonlWriter:
         self.backups = max(0, int(backups))
         self._lock = threading.Lock()
         self._size: int = -1  # lazily stat()ed on first write
+        _WRITERS.add(self)
 
     def write(self, record: Any) -> None:
         self.write_lines([record])

@@ -41,6 +41,15 @@ SPANS_NAME = "spans.jsonl"
 _SINK: Optional[RotatingJsonlWriter] = None
 _SINK_LOCK = threading.Lock()
 
+
+def _reinit_lock_in_child() -> None:
+    """See :func:`repro.telemetry.sink._reinit_locks_in_child`."""
+    global _SINK_LOCK
+    _SINK_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reinit_lock_in_child)
+
 _STACK = threading.local()  # .frames: list of (trace_id, span_id)
 
 

@@ -7,9 +7,11 @@ defines those event types (:mod:`repro.trace.events`), a small step
 language for describing each node's program (:mod:`repro.trace.program`),
 and a deterministic scheduler that interleaves per-node programs into the
 single global stream consumed by the functional coherence simulator
-(:mod:`repro.trace.scheduler`).
+(:mod:`repro.trace.scheduler`), held once per workload in the flat
+compiled form every accuracy run replays (:mod:`repro.trace.compiled`).
 """
 
+from repro.trace.compiled import CompiledStream, compile_stream
 from repro.trace.events import (
     Invalidation,
     InvalidationReason,
@@ -31,6 +33,7 @@ from repro.trace.stats import StreamStats, collect_stream_stats
 __all__ = [
     "Access",
     "Barrier",
+    "CompiledStream",
     "Invalidation",
     "InvalidationReason",
     "InterleavingScheduler",
@@ -43,5 +46,6 @@ __all__ = [
     "SyncBoundary",
     "SyncKind",
     "collect_stream_stats",
+    "compile_stream",
     "interleave",
 ]

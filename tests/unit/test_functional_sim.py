@@ -9,7 +9,9 @@ from repro.core import (
     PerBlockLTP,
 )
 from repro.dsi import DSIPolicy
+from repro.protocol.states import ProtocolVariant
 from repro.sim import AccuracySimulator
+from repro.workloads import get_workload
 from tests.conftest import migratory_rmw, producer_consumer
 
 
@@ -77,6 +79,19 @@ class TestOracle:
         ps = migratory_rmw(iterations=15)
         rep = AccuracySimulator(lambda n: NullPolicy()).run_oracle(ps)
         assert rep.predicted_fraction == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("variant", list(ProtocolVariant))
+    @pytest.mark.parametrize("workload", ["appbt", "em3d", "ocean"])
+    def test_oracle_denominator_matches_base(self, workload, variant):
+        """The oracle profiles last touches under the variant it runs
+        against: a downgraded writer keeps its copy, so profiling it
+        as invalidated would fire at touches the base system never
+        loses and inflate the denominator."""
+        ps = get_workload(workload, "tiny").build()
+        sim = AccuracySimulator(lambda n: NullPolicy(), variant=variant)
+        oracle = sim.run_oracle(ps)
+        assert oracle.total_invalidations == sim.run(ps).total_invalidations
+        assert oracle.mispredicted == 0
 
     def test_oracle_dominates_ltp(self, pc_workload):
         sim = AccuracySimulator(lambda n: PerBlockLTP())

@@ -320,6 +320,88 @@ class TestResultPathIsolation:
         tm.set_enabled(True)
         assert list(tm.read_spans(tmp_path / "telemetry"))
 
+    def test_stream_compile_is_instrumented_off_the_byte_path(
+        self, tmp_path
+    ):
+        """The accuracy path's one interleave per workload records a
+        ``runner.compile_stream`` span and bumps the compile counter,
+        and the report is still pickle-identical with telemetry off."""
+        import pickle
+
+        import repro.runner.runner as runner_module
+        from repro.runner import PolicySpec, accuracy_job
+
+        spec = accuracy_job("em3d", "tiny", PolicySpec(name="ltp"))
+        compiles = tm.counter("repro_runner_stream_compiles_total")
+        before = compiles.value(workload="em3d")
+        tm.configure(tmp_path / "telemetry")
+        runner_module._STREAMS.clear()
+        with_telemetry = pickle.dumps(runner_module.execute_spec(spec))
+        tm.set_enabled(False)
+        runner_module._STREAMS.clear()
+        without = pickle.dumps(runner_module.execute_spec(spec))
+        assert with_telemetry == without
+        tm.set_enabled(True)
+        assert compiles.value(workload="em3d") == before + 1
+        spans = [
+            r for r in tm.read_spans(tmp_path / "telemetry")
+            if r["name"] == "runner.compile_stream"
+        ]
+        assert len(spans) == 1
+        assert spans[0]["attrs"] == {"workload": "em3d", "size": "tiny"}
+
+
+def _span_and_count_in_child():
+    with tm.span("child.work"):
+        tm.counter("repro_test_fork_total").inc()
+
+
+class TestForkSafety:
+    def test_child_records_while_parent_thread_holds_locks(
+        self, tmp_path
+    ):
+        """A process forked while another thread holds the span sink,
+        the registry and an instrument lock must still record: the
+        holder does not exist in the child, so an inherited held lock
+        would hang its first span or counter bump forever."""
+        import multiprocessing
+
+        from repro.telemetry import spans
+        from repro.telemetry.metrics import REGISTRY
+
+        tm.configure(tmp_path / "telemetry")
+        instrument = tm.counter("repro_test_fork_total")
+        locks = [spans._sink()._lock, REGISTRY._lock, instrument._lock]
+        holding, release = threading.Event(), threading.Event()
+
+        def hold():
+            for lock in locks:
+                lock.acquire()
+            holding.set()
+            release.wait()
+            for lock in locks:
+                lock.release()
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        holding.wait()
+        child = multiprocessing.get_context("fork").Process(
+            target=_span_and_count_in_child
+        )
+        try:
+            child.start()
+            child.join(timeout=10)
+        finally:
+            release.set()
+            holder.join()
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+        assert "child.work" in {
+            r["name"] for r in tm.read_spans(tmp_path / "telemetry")
+        }
+
 
 class TestFleetEventLogReaders:
     def test_load_fleet_reads_rotated_segments_in_order(self, tmp_path):
